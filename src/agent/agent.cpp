@@ -1,7 +1,6 @@
 #include "agent/agent.hpp"
 
 #include <cmath>
-#include <map>
 #include <stdexcept>
 
 #include "obs/registry.hpp"
@@ -55,10 +54,8 @@ std::string to_string(AgentState s) {
 NegotiationAgent::NegotiationAgent(const core::NegotiationProblem& problem,
                                    core::PreferenceOracle& oracle,
                                    Channel& channel, AgentConfig config)
-    : problem_(problem), oracle_(&oracle), channel_(&channel), config_(config) {
-  problem_.validate();
-  if (config_.side != 0 && config_.side != 1)
-    throw std::invalid_argument("AgentConfig: side must be 0 or 1");
+    : problem_(problem), channel_(&channel), config_(config),
+      side_(problem, oracle, config.side, config.negotiation) {
   if (config_.negotiation.tie_break != core::TieBreak::kDeterministic)
     throw std::invalid_argument(
         "AgentConfig: wire agents require TieBreak::kDeterministic");
@@ -66,17 +63,6 @@ NegotiationAgent::NegotiationAgent(const core::NegotiationProblem& problem,
     throw std::invalid_argument("AgentConfig: kCoinToss unsupported on the wire");
   if (config_.negotiation.termination == core::TerminationPolicy::kFull)
     throw std::invalid_argument("AgentConfig: kFull unsupported on the wire");
-
-  tentative_ = problem_.default_assignment;
-  remaining_.assign(problem_.negotiable.size(), 1);
-  banned_.assign(problem_.negotiable.size(),
-                 std::vector<char>(problem_.candidates.size(), 0));
-  default_ci_.reserve(problem_.negotiable.size());
-  for (std::size_t pos = 0; pos < problem_.negotiable.size(); ++pos)
-    default_ci_.push_back(problem_.default_candidate(pos));
-  remaining_count_ = problem_.negotiable.size();
-  reassign_quantum_ = config_.negotiation.reassign_traffic_fraction *
-                      problem_.negotiable_volume();
 }
 
 const core::NegotiationOutcome& NegotiationAgent::outcome() const {
@@ -111,31 +97,6 @@ std::size_t NegotiationAgent::ci_of_ix(std::uint32_t ix_id) const {
   throw std::out_of_range("unknown interconnection id");
 }
 
-core::StrategyView NegotiationAgent::my_view() const {
-  core::StrategyView v;
-  v.remaining = &remaining_;
-  v.banned = &banned_;
-  v.default_ci = &default_ci_;
-  v.my_disclosed = &my_disclosed_;
-  v.remote_disclosed = &remote_disclosed_;
-  v.my_true_value = &truth_.true_value;
-  return v;
-}
-
-int NegotiationAgent::current_proposer() const {
-  switch (config_.negotiation.turn) {
-    case core::TurnPolicy::kAlternate:
-      return static_cast<int>(round_ % 2);
-    case core::TurnPolicy::kLowerGain:
-      if (disclosed_gain_[0] == disclosed_gain_[1])
-        return static_cast<int>(round_ % 2);
-      return disclosed_gain_[0] < disclosed_gain_[1] ? 0 : 1;
-    case core::TurnPolicy::kCoinToss:
-      break;
-  }
-  throw std::logic_error("current_proposer: bad policy");
-}
-
 void NegotiationAgent::send_pref_advert(bool reassignment) {
   proto::PrefAdvert advert;
   advert.reassignment = reassignment;
@@ -144,30 +105,20 @@ void NegotiationAgent::send_pref_advert(bool reassignment) {
     proto::PrefAdvert::Item item;
     item.flow_id =
         static_cast<std::uint32_t>(problem_.negotiable_flow(pos).id.value());
-    for (core::PrefClass p : my_disclosed_.flows[pos].pref_of_candidate)
-      item.pref_of_candidate.push_back(p);
+    const auto& row = side_.disclosed(config_.side).flows[pos].pref_of_candidate;
+    item.pref_of_candidate.assign(row.begin(), row.end());
     advert.flows.push_back(std::move(item));
   }
   send_message(advert);
 }
 
 void NegotiationAgent::send_handshake() {
-  const core::OracleContext ctx{&problem_, &tentative_, &remaining_};
-  {
-    const obs::PhaseTimer timer(obs::Phase::kEvaluateFull);
-    truth_ = oracle_->evaluate(ctx);
-  }
-  ++outcome_.evaluate_calls_full;
-  outcome_.evaluate_rows_computed += truth_.rows_recomputed;
-  outcome_.evaluate_rows_full_equivalent += problem_.negotiable.size();
-  // Honest disclosure on the wire; remote truth is unknowable here, so the
-  // decorator hook gets our own classes as a stand-in (honest oracles ignore
-  // the argument entirely).
-  my_disclosed_ = oracle_->disclose(ctx, truth_.classes, truth_.classes);
-  if (truth_.classes.flows.size() != problem_.negotiable.size())
-    throw std::logic_error("oracle returned wrong number of flows");
+  side_.refresh();
+  // Remote truth is unknowable on the wire, so the disclosure hook gets our
+  // own classes as a stand-in (honest oracles ignore the argument entirely).
+  side_.disclose(side_.truth().classes);
 
-  send_message(make_hello(config_, oracle_->wants_reassignment()));
+  send_message(make_hello(config_, side_.stateful()));
   proto::Candidates cands;
   for (std::size_t ix : problem_.candidates)
     cands.interconnection_ids.push_back(static_cast<std::uint32_t>(ix));
@@ -192,8 +143,7 @@ void NegotiationAgent::handle_handshake_message(const proto::Message& m) {
     case 0: {
       const auto* hello = std::get_if<proto::Hello>(&m);
       if (hello == nullptr) return fail("expected HELLO");
-      if (!contract_matches(*hello,
-                            make_hello(config_, oracle_->wants_reassignment())))
+      if (!contract_matches(*hello, make_hello(config_, side_.stateful())))
         return fail("contractual parameter mismatch");
       remote_hello_ = *hello;
       break;
@@ -230,26 +180,7 @@ void NegotiationAgent::handle_handshake_message(const proto::Message& m) {
       const auto* advert = std::get_if<proto::PrefAdvert>(&m);
       if (advert == nullptr || advert->reassignment)
         return fail("expected initial PREF_ADVERT");
-      remote_disclosed_.flows.clear();
-      if (advert->flows.size() != problem_.negotiable.size())
-        return fail("preference list shape mismatch");
-      for (std::size_t pos = 0; pos < advert->flows.size(); ++pos) {
-        const auto& item = advert->flows[pos];
-        if (item.flow_id !=
-                static_cast<std::uint32_t>(
-                    problem_.negotiable_flow(pos).id.value()) ||
-            item.pref_of_candidate.size() != problem_.candidates.size())
-          return fail("preference list shape mismatch");
-        core::FlowPreferences fp;
-        fp.flow = problem_.negotiable_flow(pos).id;
-        const int range = config_.negotiation.preferences.range;
-        for (std::int32_t p : item.pref_of_candidate) {
-          if (p < -range || p > range)
-            return fail("preference class out of agreed range");
-          fp.pref_of_candidate.push_back(p);
-        }
-        remote_disclosed_.flows.push_back(std::move(fp));
-      }
+      if (const char* why = store_remote_advert(*advert)) return fail(why);
       state_ = AgentState::kNegotiating;
       break;
     }
@@ -259,126 +190,82 @@ void NegotiationAgent::handle_handshake_message(const proto::Message& m) {
   ++handshake_received_;
 }
 
-void NegotiationAgent::apply_accept(std::size_t pos, std::size_t ci) {
-  const std::size_t ix = problem_.candidates[ci];
-  // Delta bookkeeping feeds evaluate_incremental(); skip it when full
-  // recomputes were requested (mirrors NegotiationEngine).
-  const bool record_delta = config_.negotiation.incremental_evaluation;
-  for (std::size_t flow_index : problem_.members_of(pos)) {
-    const std::size_t from = tentative_.ix_of_flow[flow_index];
-    if (record_delta && from != ix)
-      pending_delta_.moves.push_back(
-          core::EvaluationDelta::Move{flow_index, from, ix});
-    tentative_.ix_of_flow[flow_index] = ix;
+const char* NegotiationAgent::store_remote_advert(
+    const proto::PrefAdvert& advert) {
+  if (advert.flows.size() != problem_.negotiable.size())
+    return "preference list shape mismatch";
+  core::PreferenceList& remote = side_.remote_disclosed();
+  remote.flows.resize(advert.flows.size());
+  const int range = config_.negotiation.preferences.range;
+  for (std::size_t pos = 0; pos < advert.flows.size(); ++pos) {
+    const auto& item = advert.flows[pos];
+    const traffic::FlowId flow = problem_.negotiable_flow(pos).id;
+    if (item.flow_id != static_cast<std::uint32_t>(flow.value()) ||
+        item.pref_of_candidate.size() != problem_.candidates.size())
+      return "preference list shape mismatch";
+    for (std::int32_t p : item.pref_of_candidate)
+      if (p < -range || p > range) return "preference class out of agreed range";
+    remote.flows[pos].flow = flow;
+    remote.flows[pos].pref_of_candidate.assign(item.pref_of_candidate.begin(),
+                                               item.pref_of_candidate.end());
   }
-  if (record_delta) pending_delta_.settled_positions.push_back(pos);
-  if (ix != problem_.default_ix(pos))
-    accepted_moves_.push_back(AcceptedMove{pos, ci, truth_.true_value[pos][ci], false});
-  true_gain_ += truth_.true_value[pos][ci];
-  disclosed_gain_[config_.side] += my_disclosed_.flows[pos].pref_of_candidate[ci];
-  disclosed_gain_[1 - config_.side] +=
-      remote_disclosed_.flows[pos].pref_of_candidate[ci];
-  remaining_[pos] = 0;
-  --remaining_count_;
-  ++outcome_.flows_negotiated;
-  if (ix != problem_.default_ix(pos)) ++outcome_.flows_moved;
-  for (std::size_t flow_index : problem_.members_of(pos))
-    // nexit-lint: allow(float-accumulate): member order mirrors the engine's
-    // quantum accumulation — both sides must drift identically
-    volume_since_reassign_ += (*problem_.flows)[flow_index].size;
+  return nullptr;
 }
 
 void NegotiationAgent::maybe_trigger_reassignment() {
-  if (remaining_count_ == 0 || reassign_quantum_ <= 0.0) return;
-  const bool anyone_stateful =
-      oracle_->wants_reassignment() || remote_hello_.wants_reassignment;
-  if (!anyone_stateful || volume_since_reassign_ < reassign_quantum_) return;
-
-  volume_since_reassign_ = 0.0;
-  ++outcome_.reassignments;
-  if (oracle_->wants_reassignment()) {
-    const core::OracleContext ctx{&problem_, &tentative_, &remaining_};
-    {
-      const obs::PhaseTimer timer(config_.negotiation.incremental_evaluation
-                                      ? obs::Phase::kEvaluateIncremental
-                                      : obs::Phase::kEvaluateFull);
-      truth_ = config_.negotiation.incremental_evaluation
-                   ? oracle_->evaluate_incremental(ctx, pending_delta_)
-                   : oracle_->evaluate(ctx);
-    }
-    ++(config_.negotiation.incremental_evaluation
-           ? outcome_.evaluate_calls_incremental
-           : outcome_.evaluate_calls_full);
-    outcome_.evaluate_rows_computed += truth_.rows_recomputed;
-    outcome_.evaluate_rows_full_equivalent += problem_.negotiable.size();
-    my_disclosed_ = oracle_->disclose(ctx, truth_.classes, remote_disclosed_);
+  // Only a load-dependent ISP re-evaluates and re-advertises; the other
+  // waits for the remote's fresh list before the next proposal.
+  if (!side_.take_reassignment(remote_hello_.wants_reassignment,
+                               side_.stateful()))
+    return;
+  if (side_.stateful()) {
+    side_.disclose(side_.remote_disclosed());
     send_pref_advert(true);
   }
-  pending_delta_.clear();
   awaiting_remote_advert_ = remote_hello_.wants_reassignment;
 }
 
 void NegotiationAgent::handle_propose(const proto::Propose& m) {
   if (state_ != AgentState::kNegotiating)
     return fail("PROPOSE in state " + to_string(state_));
-  if (current_proposer() == config_.side) return fail("PROPOSE out of turn");
-  if (m.seq != round_) return fail("PROPOSE with bad sequence number");
+  if (side_.turn_holder() == config_.side) return fail("PROPOSE out of turn");
+  if (m.seq != side_.round()) return fail("PROPOSE with bad sequence number");
 
-  std::size_t pos = 0, ci = 0;
+  core::ProposalChoice p{};
   try {
-    pos = pos_of_flow(m.flow_id);
-    ci = ci_of_ix(m.interconnection_id);
+    p.pos = pos_of_flow(m.flow_id);
+    p.ci = ci_of_ix(m.interconnection_id);
   } catch (const std::out_of_range&) {
     return fail("PROPOSE references unknown flow/interconnection");
   }
-  if (!remaining_[pos]) return fail("PROPOSE for already-negotiated flow");
-  if (banned_[pos][ci]) return fail("PROPOSE for vetoed alternative");
+  if (!side_.open(p.pos)) return fail("PROPOSE for already-negotiated flow");
+  if (side_.banned(p)) return fail("PROPOSE for vetoed alternative");
 
-  const double own_pref = truth_.true_value[pos][ci];
-  bool accept = true;
-  switch (config_.negotiation.acceptance) {
-    case core::AcceptancePolicy::kAlwaysAccept:
-      break;
-    case core::AcceptancePolicy::kVetoOwnLoss:
-      accept = own_pref >= 0;
-      break;
-    case core::AcceptancePolicy::kProtective: {
-      if (true_gain_ + own_pref < 0) {
-        remaining_[pos] = 0;
-        const core::Projection rest = core::project_future(my_view());
-        remaining_[pos] = 1;
-        accept = true_gain_ + own_pref + rest.peak >= 0;
-      }
-      break;
-    }
-  }
-
+  const bool accept = side_.accepts(p);
   proto::Response resp;
   resp.seq = m.seq;
   resp.accepted = accept;
   send_message(resp);
 
   if (accept) {
-    apply_accept(pos, ci);
+    side_.apply_accept(p);
+    maybe_trigger_reassignment();
   } else {
-    banned_[pos][ci] = 1;
+    side_.ban(p);
   }
-  ++round_;
-  if (accept) maybe_trigger_reassignment();
 }
 
 void NegotiationAgent::handle_response(const proto::Response& m) {
   if (state_ != AgentState::kAwaitResponse)
     return fail("RESPONSE in state " + to_string(state_));
-  if (m.seq != round_) return fail("RESPONSE with bad sequence number");
+  if (m.seq != side_.round()) return fail("RESPONSE with bad sequence number");
   state_ = AgentState::kNegotiating;
   if (m.accepted) {
-    apply_accept(outstanding_.pos, outstanding_.ci);
+    side_.apply_accept(outstanding_);
+    maybe_trigger_reassignment();
   } else {
-    banned_[outstanding_.pos][outstanding_.ci] = 1;
+    side_.ban(outstanding_);
   }
-  ++round_;
-  if (m.accepted) maybe_trigger_reassignment();
 }
 
 void NegotiationAgent::begin_settlement(core::StopReason reason,
@@ -394,49 +281,21 @@ void NegotiationAgent::begin_settlement(core::StopReason reason,
     return;
   }
   state_ = AgentState::kSettling;
-  last_received_rollback_empty_ = false;
-  if (i_stopped) send_settlement_turn();  // the stopper speaks first
+  // On the wire only the turn holder can stop, so the stopper settles first.
+  side_.begin_settlement(i_stopped ? config_.side : 1 - config_.side);
+  if (side_.settles_next()) send_settlement_turn();
 }
 
 void NegotiationAgent::send_settlement_turn() {
-  // Greedy, mirrors NegotiationEngine::compute_rollback: while below
-  // default, roll back the concession that hurts most (first-lowest index on
-  // ties).
-  std::vector<std::size_t> picked;
-  double cum = true_gain_;
-  std::vector<char> taken(accepted_moves_.size(), 0);
-  while (cum < -1e-12) {
-    std::ptrdiff_t worst = -1;
-    for (std::size_t i = 0; i < accepted_moves_.size(); ++i) {
-      const AcceptedMove& m = accepted_moves_[i];
-      if (m.rolled_back || taken[i] || m.own_value >= 0.0) continue;
-      if (worst < 0 ||
-          m.own_value < accepted_moves_[static_cast<std::size_t>(worst)].own_value)
-        worst = static_cast<std::ptrdiff_t>(i);
-    }
-    if (worst < 0) break;
-    taken[static_cast<std::size_t>(worst)] = 1;
-    cum -= accepted_moves_[static_cast<std::size_t>(worst)].own_value;
-    picked.push_back(static_cast<std::size_t>(worst));
-  }
-
-  if (picked.empty() && last_received_rollback_empty_) {
+  if (!side_.settle(rollback_positions_)) {
     send_message(proto::Bye{});
     finish(outcome_.stop_reason);
     return;
   }
-
   proto::Rollback msg;
-  for (std::size_t mi : picked) {
-    AcceptedMove& m = accepted_moves_[mi];
-    for (std::size_t flow_index : problem_.members_of(m.pos))
-      tentative_.ix_of_flow[flow_index] = problem_.default_ix(m.pos);
-    true_gain_ -= m.own_value;
-    m.rolled_back = true;
-    ++outcome_.flows_rolled_back;
+  for (std::size_t pos : rollback_positions_)
     msg.flow_ids.push_back(
-        static_cast<std::uint32_t>(problem_.negotiable_flow(m.pos).id.value()));
-  }
+        static_cast<std::uint32_t>(problem_.negotiable_flow(pos).id.value()));
   send_message(msg);
 }
 
@@ -444,43 +303,26 @@ void NegotiationAgent::handle_rollback(
     const std::vector<std::uint32_t>& flow_ids) {
   if (state_ != AgentState::kSettling && state_ != AgentState::kStopping)
     return fail("ROLLBACK outside settlement");
+  rollback_positions_.clear();
   for (std::uint32_t id : flow_ids) {
-    std::size_t pos = 0;
     try {
-      pos = pos_of_flow(id);
+      rollback_positions_.push_back(pos_of_flow(id));
     } catch (const std::out_of_range&) {
       return fail("ROLLBACK references unknown flow");
     }
-    bool found = false;
-    for (AcceptedMove& m : accepted_moves_) {
-      if (m.pos == pos && !m.rolled_back) {
-        for (std::size_t flow_index : problem_.members_of(pos))
-          tentative_.ix_of_flow[flow_index] = problem_.default_ix(pos);
-        true_gain_ -= m.own_value;
-        m.rolled_back = true;
-        ++outcome_.flows_rolled_back;
-        found = true;
-        break;
-      }
-    }
-    if (!found) return fail("ROLLBACK for flow that never moved");
   }
-  last_received_rollback_empty_ = flow_ids.empty();
+  if (!side_.apply_remote_rollback(rollback_positions_))
+    return fail("ROLLBACK for flow that never moved");
   send_settlement_turn();
 }
 
 void NegotiationAgent::finish(core::StopReason reason) {
-  outcome_.assignment = tentative_;
-  if (config_.side == 0) {
-    outcome_.true_gain_a = true_gain_;
-    outcome_.true_gain_b = disclosed_gain_[1];  // best visible estimate
-  } else {
-    outcome_.true_gain_b = true_gain_;
-    outcome_.true_gain_a = disclosed_gain_[0];
-  }
-  outcome_.disclosed_gain_a = disclosed_gain_[0];
-  outcome_.disclosed_gain_b = disclosed_gain_[1];
-  outcome_.rounds = round_;
+  side_.report(outcome_);
+  // The remote's true gain is private; its disclosed gain is the best
+  // visible estimate.
+  const int remote = 1 - config_.side;
+  (remote == 0 ? outcome_.true_gain_a : outcome_.true_gain_b) =
+      side_.disclosed_gain(remote);
   outcome_.stop_reason = reason;
   state_ = AgentState::kDone;
 }
@@ -493,16 +335,7 @@ void NegotiationAgent::handle_message(const proto::Message& m) {
   if (const auto* advert = std::get_if<proto::PrefAdvert>(&m)) {
     if (!advert->reassignment || !awaiting_remote_advert_)
       return fail("unexpected PREF_ADVERT");
-    if (advert->flows.size() != problem_.negotiable.size())
-      return fail("reassignment shape mismatch");
-    for (std::size_t pos = 0; pos < advert->flows.size(); ++pos) {
-      if (advert->flows[pos].pref_of_candidate.size() !=
-          problem_.candidates.size())
-        return fail("reassignment shape mismatch");
-      auto& row = remote_disclosed_.flows[pos].pref_of_candidate;
-      row.assign(advert->flows[pos].pref_of_candidate.begin(),
-                 advert->flows[pos].pref_of_candidate.end());
-    }
+    if (const char* why = store_remote_advert(*advert)) return fail(why);
     awaiting_remote_advert_ = false;
     return;
   }
@@ -537,41 +370,22 @@ void NegotiationAgent::handle_message(const proto::Message& m) {
 
 void NegotiationAgent::maybe_act() {
   if (state_ != AgentState::kNegotiating || awaiting_remote_advert_) return;
-  if (current_proposer() != config_.side) return;
-
-  core::StopReason stop_reason{};
-  bool stop = false;
-  if (remaining_count_ == 0) {
-    stop = true;
-    stop_reason = core::StopReason::kExhausted;
-  } else if (config_.negotiation.termination ==
-             core::TerminationPolicy::kEarly) {
-    const core::Projection f = core::project_future(my_view());
-    if (f.peak <= 0 && f.end < 0) {
-      stop = true;
-      stop_reason = config_.side == 0 ? core::StopReason::kEarlyStopA
-                                      : core::StopReason::kEarlyStopB;
-    }
-  }
+  if (side_.turn_holder() != config_.side) return;
 
   core::ProposalChoice sel{};
-  if (!stop &&
-      !core::select_proposal(my_view(), config_.negotiation.proposal,
-                             /*rng=*/nullptr, sel)) {
-    stop = true;
-    stop_reason = core::StopReason::kNoProposal;
-  }
-
+  std::optional<core::StopReason> stop = side_.stop_check();
+  if (!stop && !side_.propose(/*tie_rng=*/nullptr, sel))
+    stop = core::StopReason::kNoProposal;
   if (stop) {
     proto::Stop m;
-    m.reason = static_cast<std::uint8_t>(stop_reason);
+    m.reason = static_cast<std::uint8_t>(*stop);
     send_message(m);
-    begin_settlement(stop_reason, /*i_stopped=*/true);
+    begin_settlement(*stop, /*i_stopped=*/true);
     return;
   }
 
   proto::Propose m;
-  m.seq = static_cast<std::uint32_t>(round_);
+  m.seq = static_cast<std::uint32_t>(side_.round());
   m.flow_id = static_cast<std::uint32_t>(
       problem_.negotiable_flow(sel.pos).id.value());
   m.interconnection_id =
@@ -586,7 +400,7 @@ bool NegotiationAgent::step() {
     return false;
 
   const AgentState entry_state = state_;
-  const std::size_t entry_round = round_;
+  const std::size_t entry_round = side_.round();
   bool progress = false;
 
   if (!sent_handshake_) {
@@ -639,7 +453,7 @@ bool NegotiationAgent::step() {
     return true;
   }
 
-  return progress || state_ != entry_state || round_ != entry_round;
+  return progress || state_ != entry_state || side_.round() != entry_round;
 }
 
 std::size_t run_session(NegotiationAgent& a, NegotiationAgent& b,

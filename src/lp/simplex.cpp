@@ -235,7 +235,11 @@ class Tableau {
       obj[static_cast<std::size_t>(j)] -= factor * r[static_cast<std::size_t>(j)];
   }
 
-  void pivot(int leaving_row, int entering_col) {
+  // The row update below is the LP layer's hot loop. Out of line and 64-byte
+  // aligned, its placement no longer shifts with the code linked before it
+  // (link order alone moved fig7's LP time by 40% on an x86 Xeon).
+  [[gnu::noinline, gnu::aligned(64)]] void pivot(int leaving_row,
+                                                 int entering_col) {
     auto& prow = rows_[static_cast<std::size_t>(leaving_row)];
     const double pval = prow[static_cast<std::size_t>(entering_col)];
     for (double& v : prow) v /= pval;

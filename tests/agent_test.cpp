@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <ostream>
+#include <vector>
+
 #include "agent/agent.hpp"
 #include "agent/flow_table.hpp"
 #include "capacity/capacity.hpp"
@@ -165,32 +169,153 @@ struct SessionFixture {
       core::make_distance_problem(routing, flows, {0, 1, 2});
 };
 
-TEST(AgentSession, MatchesEngineOnDistanceProblem) {
-  SessionFixture fx;
-  auto cfg = wire_config();
+/// One wire-legal policy combination: every turn, proposal, acceptance and
+/// termination policy the wire supports (no coin toss, no kFull), with and
+/// without settlement rollback.
+struct WirePolicy {
+  core::TurnPolicy turn;
+  core::ProposalPolicy proposal;
+  core::AcceptancePolicy acceptance;
+  core::TerminationPolicy termination;
+  bool rollback;
 
-  // In-process reference.
-  core::DistanceOracle ea(0, cfg.preferences), eb(1, cfg.preferences);
-  core::NegotiationEngine engine(fx.problem, ea, eb, cfg);
-  auto expected = engine.run();
+  [[nodiscard]] core::NegotiationConfig config() const {
+    core::NegotiationConfig cfg = wire_config();
+    cfg.turn = turn;
+    cfg.proposal = proposal;
+    cfg.acceptance = acceptance;
+    cfg.termination = termination;
+    cfg.settlement_rollback = rollback;
+    return cfg;
+  }
+};
 
-  // Wire session.
-  core::DistanceOracle oa(0, cfg.preferences), ob(1, cfg.preferences);
+std::vector<WirePolicy> wire_legal_policies() {
+  std::vector<WirePolicy> out;
+  for (auto turn : {core::TurnPolicy::kAlternate, core::TurnPolicy::kLowerGain})
+    for (auto proposal : {core::ProposalPolicy::kMaxCombinedGain,
+                          core::ProposalPolicy::kBestLocalMinImpact})
+      for (auto acceptance : {core::AcceptancePolicy::kProtective,
+                              core::AcceptancePolicy::kAlwaysAccept,
+                              core::AcceptancePolicy::kVetoOwnLoss})
+        for (auto termination : {core::TerminationPolicy::kEarly,
+                                 core::TerminationPolicy::kNegotiateAll})
+          for (bool rollback : {true, false})
+            out.push_back({turn, proposal, acceptance, termination, rollback});
+  return out;
+}
+
+/// Names each instance in test listings (e.g.
+/// ".../alternate_combined_protective_early_rollback").
+void PrintTo(const WirePolicy& w, std::ostream* os) {
+  const char* turn[] = {"alternate", "lowergain", "cointoss"};
+  const char* proposal[] = {"combined", "bestlocal"};
+  const char* acceptance[] = {"protective", "always", "vetoloss"};
+  const char* termination[] = {"early", "full", "all"};
+  *os << turn[static_cast<int>(w.turn)] << '_'
+      << proposal[static_cast<int>(w.proposal)] << '_'
+      << acceptance[static_cast<int>(w.acceptance)] << '_'
+      << termination[static_cast<int>(w.termination)]
+      << (w.rollback ? "_rollback" : "_norollback");
+}
+
+/// Runs the in-process engine and a wire session on `problem` with oracles
+/// from `make_oracle(side)`, and expects every outcome field both drivers
+/// know to agree. Each agent counts both sides' rollbacks, so each must
+/// equal the engine's total.
+template <class MakeOracle>
+void expect_wire_matches_engine(const core::NegotiationProblem& problem,
+                                const core::NegotiationConfig& cfg,
+                                MakeOracle make_oracle) {
+  auto ea = make_oracle(0);
+  auto eb = make_oracle(1);
+  const core::NegotiationOutcome expected =
+      core::NegotiationEngine(problem, *ea, *eb, cfg).run();
+
+  auto oa = make_oracle(0);
+  auto ob = make_oracle(1);
   auto [ca, cb] = make_in_memory_channel_pair();
-  NegotiationAgent agent_a(fx.problem, oa, *ca, AgentConfig{0, 1, cfg});
-  NegotiationAgent agent_b(fx.problem, ob, *cb, AgentConfig{1, 2, cfg});
+  NegotiationAgent agent_a(problem, *oa, *ca, AgentConfig{0, 1, cfg});
+  NegotiationAgent agent_b(problem, *ob, *cb, AgentConfig{1, 2, cfg});
   run_session(agent_a, agent_b);
-
   ASSERT_TRUE(agent_a.done()) << agent_a.error();
   ASSERT_TRUE(agent_b.done()) << agent_b.error();
-  EXPECT_EQ(agent_a.outcome().assignment.ix_of_flow,
-            expected.assignment.ix_of_flow);
-  EXPECT_EQ(agent_b.outcome().assignment.ix_of_flow,
-            expected.assignment.ix_of_flow);
+
+  for (const NegotiationAgent* agent : {&agent_a, &agent_b}) {
+    const core::NegotiationOutcome& got = agent->outcome();
+    EXPECT_EQ(got.assignment.ix_of_flow, expected.assignment.ix_of_flow);
+    EXPECT_EQ(got.rounds, expected.rounds);
+    EXPECT_EQ(got.stop_reason, expected.stop_reason);
+    EXPECT_EQ(got.reassignments, expected.reassignments);
+    EXPECT_EQ(got.flows_negotiated, expected.flows_negotiated);
+    EXPECT_EQ(got.flows_rolled_back, expected.flows_rolled_back);
+  }
   EXPECT_EQ(agent_a.outcome().true_gain_a, expected.true_gain_a);
   EXPECT_EQ(agent_b.outcome().true_gain_b, expected.true_gain_b);
-  EXPECT_EQ(agent_a.outcome().flows_negotiated, expected.flows_negotiated);
 }
+
+topology::IspPair first_pair_with_three_links(util::Rng& rng) {
+  topology::TopologyGenerator gen(geo::CityDb::builtin(),
+                                  topology::GeneratorConfig{});
+  auto isps = gen.generate_universe(16, rng);
+  for (std::size_t i = 0; i < isps.size(); ++i)
+    for (std::size_t j = i + 1; j < isps.size(); ++j)
+      if (auto p = topology::make_pair_if_peers(isps[i], isps[j], 3)) return *p;
+  throw std::logic_error("no pair with 3 interconnections");
+}
+
+routing::LoadMap pre_failure_capacities(const routing::PairRouting& routing,
+                                        const std::vector<traffic::Flow>& flows) {
+  std::vector<std::size_t> all_ix(routing.pair().interconnection_count());
+  for (std::size_t i = 0; i < all_ix.size(); ++i) all_ix[i] = i;
+  auto pre_failure = routing::assign_early_exit(routing, flows, all_ix);
+  auto baseline = routing::compute_loads(routing, flows, pre_failure);
+  return capacity::assign_capacities(baseline, capacity::CapacityConfig{});
+}
+
+/// Failure scenario with bandwidth oracles, built once: reassignment
+/// adverts must flow and the result must still match the engine.
+struct BandwidthFixture {
+  util::Rng rng{2024};
+  topology::IspPair pair = first_pair_with_three_links(rng);
+  routing::PairRouting routing{pair};
+  std::vector<traffic::Flow> flows =
+      traffic::TrafficMatrix::build(pair, Direction::kAtoB,
+                                    traffic::TrafficConfig{}, rng)
+          .flows();
+  core::NegotiationProblem problem =
+      core::make_failure_problem(routing, flows, 0);
+  routing::LoadMap caps = pre_failure_capacities(routing, flows);
+
+  static const BandwidthFixture& get() {
+    static const BandwidthFixture fx;
+    return fx;
+  }
+};
+
+class AgentMatchesEngine : public ::testing::TestWithParam<WirePolicy> {};
+
+TEST_P(AgentMatchesEngine, OnDistanceProblem) {
+  SessionFixture fx;
+  const core::NegotiationConfig cfg = GetParam().config();
+  expect_wire_matches_engine(fx.problem, cfg, [&](int side) {
+    return std::make_unique<core::DistanceOracle>(side, cfg.preferences);
+  });
+}
+
+TEST_P(AgentMatchesEngine, WithBandwidthOraclesAndReassignment) {
+  const BandwidthFixture& fx = BandwidthFixture::get();
+  ASSERT_FALSE(fx.problem.negotiable.empty());
+  core::NegotiationConfig cfg = GetParam().config();
+  cfg.reassign_traffic_fraction = 0.05;
+  expect_wire_matches_engine(fx.problem, cfg, [&](int side) {
+    return std::make_unique<core::BandwidthOracle>(side, cfg.preferences,
+                                                   fx.caps);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(WireLegalPolicies, AgentMatchesEngine,
+                         ::testing::ValuesIn(wire_legal_policies()));
 
 TEST(AgentSession, MatchesEngineOverRealSockets) {
   SessionFixture fx;
@@ -208,54 +333,6 @@ TEST(AgentSession, MatchesEngineOverRealSockets) {
   ASSERT_TRUE(agent_b.done()) << agent_b.error();
   EXPECT_EQ(agent_a.outcome().assignment.ix_of_flow,
             expected.assignment.ix_of_flow);
-}
-
-TEST(AgentSession, MatchesEngineWithBandwidthOraclesAndReassignment) {
-  // Failure scenario with bandwidth oracles: reassignment adverts must flow
-  // and the result must still match the engine.
-  topology::TopologyGenerator gen(geo::CityDb::builtin(),
-                                  topology::GeneratorConfig{});
-  util::Rng rng(2024);
-  topology::IspPair pair = [&] {
-    auto isps = gen.generate_universe(16, rng);
-    for (std::size_t i = 0; i < isps.size(); ++i)
-      for (std::size_t j = i + 1; j < isps.size(); ++j)
-        if (auto p = topology::make_pair_if_peers(isps[i], isps[j], 3)) return *p;
-    throw std::logic_error("no pair with 3 interconnections");
-  }();
-
-  routing::PairRouting routing(pair);
-  traffic::TrafficConfig tcfg;
-  auto tm = traffic::TrafficMatrix::build(pair, Direction::kAtoB, tcfg, rng);
-  auto problem = core::make_failure_problem(routing, tm.flows(), 0);
-  ASSERT_FALSE(problem.negotiable.empty());
-
-  std::vector<std::size_t> all_ix(pair.interconnection_count());
-  for (std::size_t i = 0; i < all_ix.size(); ++i) all_ix[i] = i;
-  auto pre_failure = routing::assign_early_exit(routing, tm.flows(), all_ix);
-  auto baseline = routing::compute_loads(routing, tm.flows(), pre_failure);
-  auto caps = capacity::assign_capacities(baseline, capacity::CapacityConfig{});
-
-  auto cfg = wire_config();
-  cfg.reassign_traffic_fraction = 0.05;
-
-  core::BandwidthOracle ea(0, cfg.preferences, caps), eb(1, cfg.preferences, caps);
-  core::NegotiationEngine engine(problem, ea, eb, cfg);
-  auto expected = engine.run();
-
-  core::BandwidthOracle oa(0, cfg.preferences, caps), ob(1, cfg.preferences, caps);
-  auto [ca, cb] = make_in_memory_channel_pair();
-  NegotiationAgent agent_a(problem, oa, *ca, AgentConfig{0, 1, cfg});
-  NegotiationAgent agent_b(problem, ob, *cb, AgentConfig{1, 2, cfg});
-  run_session(agent_a, agent_b);
-
-  ASSERT_TRUE(agent_a.done()) << agent_a.error();
-  ASSERT_TRUE(agent_b.done()) << agent_b.error();
-  EXPECT_EQ(agent_a.outcome().assignment.ix_of_flow,
-            expected.assignment.ix_of_flow);
-  EXPECT_EQ(agent_a.outcome().reassignments, expected.reassignments);
-  EXPECT_EQ(agent_a.outcome().true_gain_a, expected.true_gain_a);
-  EXPECT_EQ(agent_b.outcome().true_gain_b, expected.true_gain_b);
 }
 
 TEST(AgentSession, CorruptionFailsCleanlyWithoutHanging) {

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <memory>
 
+#include "agent/agent.hpp"
 #include "capacity/capacity.hpp"
 #include "core/engine.hpp"
 #include "core/oracles.hpp"
@@ -372,6 +373,17 @@ TEST(EngineCrossCheck, CatchesLyingIncrementalOracle) {
   cfg.verify_incremental_every = 1;
   core::NegotiationEngine engine(sc.problem, a, b, cfg);
   EXPECT_THROW((void)engine.run(), std::logic_error);
+
+  // The same audit runs on the wire: each agent checks its own oracle.
+  cfg.tie_break = core::TieBreak::kDeterministic;
+  LyingOracle wire_a(0, sc.caps);
+  core::BandwidthOracle wire_b(1, core::PreferenceConfig{}, sc.caps);
+  auto [ca, cb] = agent::make_in_memory_channel_pair();
+  agent::NegotiationAgent agent_a(sc.problem, wire_a, *ca,
+                                  agent::AgentConfig{0, 1, cfg});
+  agent::NegotiationAgent agent_b(sc.problem, wire_b, *cb,
+                                  agent::AgentConfig{1, 2, cfg});
+  EXPECT_THROW((void)agent::run_session(agent_a, agent_b), std::logic_error);
 }
 
 bool same_sample_bits(const sim::BandwidthSample& a,
