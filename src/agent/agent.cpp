@@ -194,7 +194,7 @@ const char* NegotiationAgent::store_remote_advert(
     const proto::PrefAdvert& advert) {
   if (advert.flows.size() != problem_.negotiable.size())
     return "preference list shape mismatch";
-  core::PreferenceList& remote = side_.remote_disclosed();
+  core::PreferenceList remote;
   remote.flows.resize(advert.flows.size());
   const int range = config_.negotiation.preferences.range;
   for (std::size_t pos = 0; pos < advert.flows.size(); ++pos) {
@@ -209,6 +209,7 @@ const char* NegotiationAgent::store_remote_advert(
     remote.flows[pos].pref_of_candidate.assign(item.pref_of_candidate.begin(),
                                                item.pref_of_candidate.end());
   }
+  side_.set_remote_disclosed(remote);
   return nullptr;
 }
 
@@ -219,7 +220,7 @@ void NegotiationAgent::maybe_trigger_reassignment() {
                                side_.stateful()))
     return;
   if (side_.stateful()) {
-    side_.disclose(side_.remote_disclosed());
+    side_.disclose(side_.disclosed(1 - side_.side()));
     send_pref_advert(true);
   }
   awaiting_remote_advert_ = remote_hello_.wants_reassignment;

@@ -15,8 +15,8 @@ NegotiationEngine::NegotiationEngine(const NegotiationProblem& problem,
 void NegotiationEngine::disclose_both() {
   sides_[0].disclose(sides_[1].truth().classes);
   sides_[1].disclose(sides_[0].truth().classes);
-  sides_[0].remote_disclosed() = sides_[1].disclosed(1);
-  sides_[1].remote_disclosed() = sides_[0].disclosed(0);
+  sides_[0].set_remote_disclosed(sides_[1].disclosed(1));
+  sides_[1].set_remote_disclosed(sides_[0].disclosed(0));
 }
 
 NegotiationOutcome NegotiationEngine::run() {

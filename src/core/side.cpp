@@ -1,5 +1,7 @@
 #include "core/side.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -29,6 +31,17 @@ bool same_evaluation_bits(const Evaluation& a, const Evaluation& b) {
       return false;
   }
   return true;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// The settlement order of project_future's stable sort: combined desc,
+/// then list position.
+bool settles_before(int combined_a, std::size_t pos_a, int combined_b,
+                    std::size_t pos_b) {
+  return combined_a > combined_b || (combined_a == combined_b && pos_a < pos_b);
 }
 
 void check_list_shape(const PreferenceList& list,
@@ -63,7 +76,7 @@ NegotiationSide::NegotiationSide(const NegotiationProblem& problem,
   const std::size_t n = problem_.negotiable.size();
   tentative_ = problem_.default_assignment;
   remaining_.assign(n, 1);
-  banned_.assign(n, std::vector<char>(problem_.candidates.size(), 0));
+  banned_.assign(n * problem_.candidates.size(), 0);
   default_ci_.reserve(n);
   for (std::size_t pos = 0; pos < n; ++pos)
     default_ci_.push_back(problem_.default_candidate(pos));
@@ -116,6 +129,7 @@ void NegotiationSide::refresh() {
   eval_rows_full_equivalent_ += problem_.negotiable.size();
   pending_delta_.clear();
   evaluated_once_ = true;
+  strategy_cached_ = false;
 
   check_list_shape(truth_.classes, problem_);
   if (truth_.true_value.size() != problem_.negotiable.size())
@@ -129,12 +143,19 @@ void NegotiationSide::disclose(const PreferenceList& remote_truth) {
   const OracleContext ctx{&problem_, &tentative_, &remaining_};
   disclosed_[side_] = oracle_->disclose(ctx, truth_.classes, remote_truth);
   check_list_shape(disclosed_[side_], problem_);
+  strategy_cached_ = false;
+}
+
+void NegotiationSide::set_remote_disclosed(const PreferenceList& list) {
+  disclosed_[1 - side_] = list;
+  strategy_cached_ = false;
 }
 
 StrategyView NegotiationSide::view() const {
   StrategyView v;
   v.remaining = &remaining_;
-  v.banned = &banned_;
+  v.banned = banned_.data();
+  v.banned_stride = problem_.candidates.size();
   v.default_ci = &default_ci_;
   v.my_disclosed = &disclosed_[side_];
   v.remote_disclosed = &disclosed_[1 - side_];
@@ -156,7 +177,72 @@ int NegotiationSide::turn_holder() const {
   throw std::logic_error("turn_holder: no deterministic turn for this policy");
 }
 
-std::optional<StopReason> NegotiationSide::stop_check() const {
+void NegotiationSide::rebuild_strategy_cache() {
+  const StrategyView v = view();
+  const std::size_t n = remaining_.size();
+  outlook_.assign(n, FlowOutlook{});
+  best_.assign(n, FlowBest{});
+  settling_order_.clear();
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    if (!remaining_[pos]) continue;
+    flow_strategy(v, config_.proposal, pos, outlook_[pos], best_[pos]);
+    if (outlook_[pos].have) settling_order_.push_back(outlook_[pos]);
+  }
+  std::sort(settling_order_.begin(), settling_order_.end(),
+            [](const FlowOutlook& a, const FlowOutlook& b) {
+              return settles_before(a.combined, a.pos, b.combined, b.pos);
+            });
+  strategy_cached_ = true;
+}
+
+std::vector<FlowOutlook>::iterator NegotiationSide::settling_slot(
+    std::size_t pos) {
+  const int combined = outlook_[pos].combined;
+  return std::lower_bound(
+      settling_order_.begin(), settling_order_.end(), pos,
+      [combined](const FlowOutlook& e, std::size_t p) {
+        return settles_before(e.combined, e.pos, combined, p);
+      });
+}
+
+void NegotiationSide::drop_flow(std::size_t pos) {
+  best_[pos].have = false;
+  if (!outlook_[pos].have) return;
+  const auto it = settling_slot(pos);
+  if (it == settling_order_.end() || it->pos != pos)
+    throw std::logic_error("strategy cache: open flow missing from its index");
+  settling_order_.erase(it);
+  outlook_[pos].have = false;
+}
+
+void NegotiationSide::update_flow(std::size_t pos) {
+  drop_flow(pos);
+  flow_strategy(view(), config_.proposal, pos, outlook_[pos], best_[pos]);
+  if (outlook_[pos].have)
+    settling_order_.insert(settling_slot(pos), outlook_[pos]);
+}
+
+Projection NegotiationSide::projection(std::optional<std::size_t> without) {
+  if (!strategy_cached_) rebuild_strategy_cache();
+  Projection cached;
+  walk_projection(settling_order_, without.value_or(remaining_.size()),
+                  /*my_turn_first=*/true, /*floor_remote_at_zero=*/false,
+                  cached.peak, cached.end);
+  if (cross_check_due()) {
+    std::vector<char> rest = remaining_;
+    if (without) rest[*without] = 0;
+    StrategyView v = view();
+    v.remaining = &rest;
+    const Projection full = project_future(v);
+    if (!same_bits(full.peak, cached.peak) || !same_bits(full.end, cached.end))
+      throw std::logic_error(
+          "strategy cache: projection diverged from the full scan (side " +
+          std::to_string(side_) + ")");
+  }
+  return cached;
+}
+
+std::optional<StopReason> NegotiationSide::stop_check() {
   if (remaining_count_ == 0) return StopReason::kExhausted;
   if (config_.termination == TerminationPolicy::kEarly) {
     // The turn holder stops once it perceives no additional gain in
@@ -165,15 +251,41 @@ std::optional<StopReason> NegotiationSide::stop_check() const {
     // compromises already accepted are honoured until one's own next turn,
     // which is what lets trades across flows complete and both ISPs end
     // ahead.
-    const Projection f = project_future(view());
+    const Projection f = projection();
     if (f.peak <= 0 && f.end < 0)
       return side_ == 0 ? StopReason::kEarlyStopA : StopReason::kEarlyStopB;
   }
   return std::nullopt;
 }
 
-bool NegotiationSide::propose(util::Rng* tie_rng, ProposalChoice& out) const {
-  return select_proposal(view(), config_.proposal, tie_rng, out);
+bool NegotiationSide::propose(util::Rng* tie_rng, ProposalChoice& out) {
+  const obs::PhaseTimer timer(obs::Phase::kSelectProposal);
+  // Random tie-breaks draw from the rng in scan order: only the full scan
+  // reproduces those draws.
+  if (tie_rng != nullptr)
+    return select_proposal(view(), config_.proposal, tie_rng, out);
+  if (!strategy_cached_) rebuild_strategy_cache();
+  bool found = false;
+  ProposalRank best;
+  for (std::size_t pos = 0; pos < remaining_.size(); ++pos) {
+    if (!best_[pos].have) continue;
+    if (!found || outranks(best_[pos].rank, best)) {
+      found = true;
+      best = best_[pos].rank;
+      out = ProposalChoice{pos, best_[pos].ci};
+    }
+  }
+  if (cross_check_due()) {
+    ProposalChoice full{};
+    const bool full_found =
+        select_proposal(view(), config_.proposal, nullptr, full);
+    if (full_found != found ||
+        (found && (full.pos != out.pos || full.ci != out.ci)))
+      throw std::logic_error(
+          "strategy cache: proposal diverged from the full scan (side " +
+          std::to_string(side_) + ")");
+  }
+  return found;
 }
 
 bool NegotiationSide::accepts(const ProposalChoice& p) {
@@ -188,9 +300,7 @@ bool NegotiationSide::accepts(const ProposalChoice& p) {
       // Would dip below default: accept only if the projected future
       // (without this flow) can recover the deficit even under pessimistic
       // tie resolution.
-      remaining_[p.pos] = 0;
-      const Projection rest = project_future(view());
-      remaining_[p.pos] = 1;
+      const Projection rest = projection(p.pos);
       return true_gain_ + own + rest.peak >= 0;
     }
   }
@@ -212,6 +322,7 @@ void NegotiationSide::apply_accept(const ProposalChoice& p) {
     tentative_.ix_of_flow[flow_index] = ix;
   }
   if (record_delta) pending_delta_.settled_positions.push_back(p.pos);
+  if (strategy_cached_ && remaining_[p.pos]) drop_flow(p.pos);
   const double own = true_value(p);
   if (moved) accepted_moves_.push_back(AcceptedMove{p.pos, own, false});
   true_gain_ += own;
@@ -229,7 +340,8 @@ void NegotiationSide::apply_accept(const ProposalChoice& p) {
 }
 
 void NegotiationSide::ban(const ProposalChoice& p) {
-  banned_[p.pos][p.ci] = 1;
+  banned_[p.pos * problem_.candidates.size() + p.ci] = 1;
+  if (strategy_cached_ && remaining_[p.pos]) update_flow(p.pos);
   ++round_;
 }
 

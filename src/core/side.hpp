@@ -117,7 +117,16 @@ struct NegotiationOutcome;  // engine.hpp
 /// Both sides of a negotiation see the same accepts, vetoes and rollbacks,
 /// so their tentative assignment, remaining/banned sets, round and disclosed
 /// gains stay equal; truth, true gain and accepted-move values are private.
-/// The driver moves disclosed lists between the sides (remote_disclosed()).
+/// The driver moves disclosed lists between the sides (set_remote_disclosed()).
+///
+/// A strategy cache serves the stop check, the protective veto and the
+/// deterministic proposal (docs/ARCHITECTURE.md, "strategy cache"): per open
+/// flow, the answers project_future and select_proposal would compute for
+/// it, with the flows kept in settlement order. ban() and apply_accept()
+/// update it in place; refresh(), disclose() and set_remote_disclosed()
+/// drop it, and the next query rebuilds it. At the cross-check cadence every
+/// cached answer is compared with the full scan (std::logic_error on any
+/// difference).
 class NegotiationSide {
  public:
   /// `side` is 0 for ISP A, 1 for ISP B. Throws std::invalid_argument for a
@@ -136,22 +145,27 @@ class NegotiationSide {
   /// them (the engine; the cheating oracle reads them), a stand-in where it
   /// cannot (the wire).
   void disclose(const PreferenceList& remote_truth);
-  /// The remote ISP's advertised list; the driver writes what it learns.
-  [[nodiscard]] PreferenceList& remote_disclosed() {
-    return disclosed_[1 - side_];
-  }
+  /// Stores the remote ISP's advertised list, as the driver learns it.
+  void set_remote_disclosed(const PreferenceList& list);
 
   /// Who proposes this round (kAlternate / kLowerGain; the coin toss needs
   /// a shared RNG only the engine has).
   [[nodiscard]] int turn_holder() const;
   /// The turn holder's "Stop?" step: kExhausted once every flow is settled,
   /// kEarlyStopA/B once early termination sees no gain in going on.
-  [[nodiscard]] std::optional<StopReason> stop_check() const;
+  [[nodiscard]] std::optional<StopReason> stop_check();
   /// The turn holder's proposal; false when everything left is vetoed.
   /// `tie_rng` breaks residual ties at random (nullptr: lowest pos, ci).
-  [[nodiscard]] bool propose(util::Rng* tie_rng, ProposalChoice& out) const;
+  [[nodiscard]] bool propose(util::Rng* tie_rng, ProposalChoice& out);
   /// The responder's verdict on `p` under the acceptance policy.
   [[nodiscard]] bool accepts(const ProposalChoice& p);
+  /// project_future(view()) from the strategy cache — the stop check's
+  /// projection — or, given `without`, the same with that open position
+  /// left out (the protective veto's projection of the rest).
+  [[nodiscard]] Projection projection(
+      std::optional<std::size_t> without = std::nullopt);
+  /// This side's state as the strategy's full scans read it.
+  [[nodiscard]] StrategyView view() const;
   /// Settles p.pos on p.ci and closes the round.
   void apply_accept(const ProposalChoice& p);
   /// Vetoes p.ci for p.pos and closes the round.
@@ -203,7 +217,7 @@ class NegotiationSide {
   }
   [[nodiscard]] bool open(std::size_t pos) const { return remaining_[pos] != 0; }
   [[nodiscard]] bool banned(const ProposalChoice& p) const {
-    return banned_[p.pos][p.ci] != 0;
+    return banned_[p.pos * problem_.candidates.size() + p.ci] != 0;
   }
   [[nodiscard]] const routing::Assignment& tentative() const {
     return tentative_;
@@ -221,8 +235,17 @@ class NegotiationSide {
   };
 
   [[nodiscard]] bool cross_check_due() const;
-  [[nodiscard]] StrategyView view() const;
   void roll_back(AcceptedMove& m);
+  /// Derives every open flow's cache entries and sorts the index.
+  void rebuild_strategy_cache();
+  /// Re-derives an open flow's cache entries after one of its cells was
+  /// vetoed.
+  void update_flow(std::size_t pos);
+  /// Where `pos` sits (or would sit) in settling_order_ under its outlook.
+  std::vector<FlowOutlook>::iterator settling_slot(std::size_t pos);
+  /// Takes a flow out of the cache (it settled, or is about to be
+  /// re-derived).
+  void drop_flow(std::size_t pos);
 
   const NegotiationProblem& problem_;
   PreferenceOracle* oracle_;
@@ -231,7 +254,7 @@ class NegotiationSide {
 
   routing::Assignment tentative_;
   std::vector<char> remaining_;           // per negotiable position
-  std::vector<std::vector<char>> banned_; // vetoed (pos, ci) pairs
+  std::vector<char> banned_;              // vetoed (pos, ci), row-major
   std::vector<std::size_t> default_ci_;   // default candidate per position
   std::size_t remaining_count_ = 0;
   std::size_t round_ = 0;
@@ -249,6 +272,15 @@ class NegotiationSide {
   std::size_t incremental_refreshes_ = 0;
   bool settles_next_ = false;
   bool remote_turn_was_empty_ = false;
+
+  // Strategy cache; valid only while strategy_cached_.
+  bool strategy_cached_ = false;
+  // By position; `have` is false for settled flows.
+  std::vector<FlowOutlook> outlook_;
+  std::vector<FlowBest> best_;
+  /// Open flows with an outlook, in (combined desc, pos asc) order: the
+  /// order project_future's stable sort settles them in.
+  std::vector<FlowOutlook> settling_order_;
 
   // Counters reported in NegotiationOutcome.
   std::size_t flows_negotiated_ = 0;

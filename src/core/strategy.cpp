@@ -4,16 +4,16 @@
 #include <stdexcept>
 
 #include "core/side.hpp"
-#include "obs/registry.hpp"
 
 namespace nexit::core {
 
 namespace {
 
 void check_view(const StrategyView& v) {
-  if (v.remaining == nullptr || v.banned == nullptr || v.default_ci == nullptr ||
+  if (v.remaining == nullptr || v.default_ci == nullptr ||
       v.my_disclosed == nullptr || v.remote_disclosed == nullptr ||
-      v.my_true_value == nullptr)
+      v.my_true_value == nullptr ||
+      (v.banned == nullptr && !v.remaining->empty()))
     throw std::invalid_argument("StrategyView: null field");
 }
 
@@ -21,7 +21,6 @@ void check_view(const StrategyView& v) {
 
 bool select_proposal(const StrategyView& view, ProposalPolicy policy,
                      util::Rng* rng, ProposalChoice& out) {
-  const obs::PhaseTimer timer(obs::Phase::kSelectProposal);
   check_view(view);
   bool found = false;
   int best_primary = 0, best_secondary = 0;
@@ -34,7 +33,7 @@ bool select_proposal(const StrategyView& view, ProposalPolicy policy,
     const auto& mine = view.my_disclosed->flows[pos].pref_of_candidate;
     const auto& theirs = view.remote_disclosed->flows[pos].pref_of_candidate;
     for (std::size_t ci = 0; ci < mine.size(); ++ci) {
-      if ((*view.banned)[pos][ci]) continue;
+      if (view.is_banned(pos, ci)) continue;
       const int own = mine[ci];
       const int rem = theirs[ci];
       int primary = 0, secondary = 0;
@@ -91,7 +90,7 @@ double projected_own_value(const StrategyView& view, std::size_t pos,
   double own = 0.0;
   bool best_is_default = false;
   for (std::size_t ci = 0; ci < mine.size(); ++ci) {
-    if ((*view.banned)[pos][ci]) continue;
+    if (view.is_banned(pos, ci)) continue;
     const int combined = mine[ci] + theirs[ci];
     const int secondary = selector_is_me ? mine[ci] : theirs[ci];
     const bool is_default = ci == (*view.default_ci)[pos];
@@ -120,7 +119,7 @@ int max_combined(const StrategyView& view, std::size_t pos, bool& have) {
   have = false;
   int best = 0;
   for (std::size_t ci = 0; ci < mine.size(); ++ci) {
-    if ((*view.banned)[pos][ci]) continue;
+    if (view.is_banned(pos, ci)) continue;
     const int combined = mine[ci] + theirs[ci];
     if (!have || combined > best) {
       have = true;
@@ -141,12 +140,7 @@ Projection project_future(const StrategyView& view, bool my_turn_first,
   // remote's. This is what lets an ISP trust its own upcoming turns while
   // staying realistic about the counterparty's (Fig. 4b no-loss, §5.4
   // premature termination against cheats).
-  struct Item {
-    int combined;
-    double own_if_mine;
-    double own_if_remote;
-  };
-  std::vector<Item> items;
+  std::vector<FlowOutlook> items;
   const std::size_t n = view.remaining->size();
   items.reserve(n);
   for (std::size_t pos = 0; pos < n; ++pos) {
@@ -154,7 +148,9 @@ Projection project_future(const StrategyView& view, bool my_turn_first,
     bool have = false;
     const int combined = max_combined(view, pos, have);
     if (!have) continue;
-    Item item;
+    FlowOutlook item;
+    item.pos = pos;
+    item.have = true;
     item.combined = combined;
     item.own_if_mine = projected_own_value(view, pos, /*selector_is_me=*/true, have);
     item.own_if_remote =
@@ -163,23 +159,81 @@ Projection project_future(const StrategyView& view, bool my_turn_first,
   }
   // Stable: equal-combined flows keep list order, so the projection is
   // deterministic on both sides of the wire.
-  std::stable_sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
-    return a.combined > b.combined;
-  });
+  std::stable_sort(items.begin(), items.end(),
+                   [](const FlowOutlook& a, const FlowOutlook& b) {
+                     return a.combined > b.combined;
+                   });
   Projection p;
-  double run = 0.0;
+  walk_projection(items, n, my_turn_first, floor_remote_at_zero, p.peak, p.end);
+  return p;
+}
+
+void walk_projection(const std::vector<FlowOutlook>& settling, std::size_t skip,
+                     bool my_turn_first, bool floor_remote_at_zero,
+                     double& peak, double& end) {
+  double run = 0.0, top = 0.0;
   bool mine = my_turn_first;
-  for (const Item& it : items) {
+  for (const FlowOutlook& it : settling) {
+    if (it.pos == skip) continue;
     double v = mine ? it.own_if_mine : it.own_if_remote;
     if (floor_remote_at_zero && !mine) v = std::max(v, 0.0);
     // nexit-lint: allow(float-accumulate): running prefix of the alternating
     // projection — inherently sequential, order IS the semantics
     run += v;
-    p.peak = std::max(p.peak, run);
+    top = std::max(top, run);
     mine = !mine;
   }
-  p.end = run;
-  return p;
+  peak = top;
+  end = run;
+}
+
+namespace {
+
+/// Running best of one ranking over a flow's candidates, in ci order: the
+/// first top-ranked cell, and my least true value among the cells tied with
+/// it exactly (the projection's pessimism on residual ties).
+struct BestCell {
+  bool have = false;
+  ProposalRank rank;
+  std::size_t ci = 0;
+  double own = 0.0;
+
+  void offer(const ProposalRank& r, std::size_t c, double value) {
+    if (!have || outranks(r, rank)) {
+      have = true;
+      rank = r;
+      ci = c;
+      own = value;
+    } else if (!outranks(rank, r)) {
+      own = std::min(own, value);
+    }
+  }
+};
+
+}  // namespace
+
+void flow_strategy(const StrategyView& view, ProposalPolicy policy,
+                   std::size_t pos, FlowOutlook& outlook, FlowBest& best) {
+  const auto& mine = view.my_disclosed->flows[pos].pref_of_candidate;
+  const auto& theirs = view.remote_disclosed->flows[pos].pref_of_candidate;
+  const auto& my_truth = (*view.my_true_value)[pos];
+  const std::size_t default_ci = (*view.default_ci)[pos];
+  const bool local_first = policy == ProposalPolicy::kBestLocalMinImpact;
+  // My pick and the remote's: combined sum, then the picker's own class,
+  // then the default. Under kMaxCombinedGain my pick is also the proposal.
+  BestCell by_me, by_remote, local;
+  for (std::size_t ci = 0; ci < mine.size(); ++ci) {
+    if (view.is_banned(pos, ci)) continue;
+    const bool is_default = ci == default_ci;
+    const int combined = mine[ci] + theirs[ci];
+    by_me.offer({combined, mine[ci], is_default}, ci, my_truth[ci]);
+    by_remote.offer({combined, theirs[ci], is_default}, ci, my_truth[ci]);
+    if (local_first) local.offer({mine[ci], theirs[ci], is_default}, ci, 0.0);
+  }
+  outlook = FlowOutlook{pos, by_me.have, by_me.rank.primary, by_me.own,
+                        by_remote.own};
+  const BestCell& proposal = local_first ? local : by_me;
+  best = FlowBest{proposal.have, proposal.rank, proposal.ci};
 }
 
 }  // namespace nexit::core

@@ -156,8 +156,10 @@ class Tableau {
   }
 
   /// One simplex iteration. `allow_artificial_entry` is false in phase 2.
-  /// Returns: 0 = optimal reached, 1 = pivoted, -1 = unbounded.
-  int iterate(bool bland, bool allow_artificial_entry) {
+  /// Returns: 0 = optimal reached, 1 = pivoted, -1 = unbounded. Holds the
+  /// entering scan and the ratio test, pinned like pivot() below.
+  [[gnu::noinline, gnu::aligned(64)]] int iterate(bool bland,
+                                                  bool allow_artificial_entry) {
     const auto& obj = rows_[static_cast<std::size_t>(m_)];
     const int limit = allow_artificial_entry ? (n_ + s_ + a_) : (n_ + s_);
 

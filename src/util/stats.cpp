@@ -29,17 +29,35 @@ double stddev(const std::vector<double>& xs) {
 
 namespace {
 
-/// Shared tail of both percentile overloads; `sorted` must be sorted.
-double percentile_of_sorted(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) throw std::invalid_argument("percentile: empty sample");
+/// The two order statistics a percentile interpolates between, and the
+/// weight of the upper one.
+struct Ranks {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  double frac = 0.0;
+};
+
+Ranks percentile_ranks(std::size_t size, double p) {
+  if (size == 0) throw std::invalid_argument("percentile: empty sample");
   if (p < 0.0 || p > 100.0)
     throw std::invalid_argument("percentile: p out of [0,100]");
+  const double rank = (p / 100.0) * static_cast<double>(size - 1);
+  Ranks r;
+  r.lo = static_cast<std::size_t>(std::floor(rank));
+  r.hi = static_cast<std::size_t>(std::ceil(rank));
+  r.frac = rank - static_cast<double>(r.lo);
+  return r;
+}
+
+double interpolate(double lo, double hi, double frac) {
+  return lo + (hi - lo) * frac;
+}
+
+/// Shared tail of both percentile overloads; `sorted` must be sorted.
+double percentile_of_sorted(const std::vector<double>& sorted, double p) {
+  const Ranks r = percentile_ranks(sorted.size(), p);
   if (sorted.size() == 1) return sorted[0];
-  const double rank = (p / 100.0) * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(rank));
-  const auto hi = static_cast<std::size_t>(std::ceil(rank));
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
+  return interpolate(sorted[r.lo], sorted[r.hi], r.frac);
 }
 
 }  // namespace
@@ -55,8 +73,15 @@ double percentile(const std::vector<double>& xs, double p) {
 }
 
 double percentile(std::vector<double>&& xs, double p) {
-  std::sort(xs.begin(), xs.end());
-  return percentile_of_sorted(xs, p);
+  const Ranks r = percentile_ranks(xs.size(), p);
+  if (xs.size() == 1) return xs[0];
+  // Select instead of sorting: the lo-th order statistic lands in place, and
+  // the hi-th (at most lo + 1) is the least element after it — the same
+  // doubles a full sort would put there.
+  const auto lo = xs.begin() + static_cast<std::ptrdiff_t>(r.lo);
+  std::nth_element(xs.begin(), lo, xs.end());
+  const double hi = r.hi == r.lo ? *lo : *std::min_element(lo + 1, xs.end());
+  return interpolate(*lo, hi, r.frac);
 }
 
 Cdf::Cdf(std::vector<double> samples) : samples_(std::move(samples)), sorted_(false) {

@@ -27,8 +27,10 @@ double median(const std::vector<double>& xs);
 /// same sample should build a Cdf instead, which sorts once).
 double percentile(const std::vector<double>& xs, double p);
 
-/// Zero-copy overload for callers done with their sample: sorts in place.
-/// Used on the oracle-evaluation hot path (quantization_scale).
+/// Zero-copy overload for callers done with their sample: reorders it in
+/// place, selecting the two order statistics instead of sorting (same
+/// result to the bit). Used on the oracle-evaluation hot path
+/// (quantization_scale).
 double percentile(std::vector<double>&& xs, double p);
 
 /// Empirical cumulative distribution over a sample, in the style the paper

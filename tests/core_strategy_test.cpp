@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+
 #include "core/engine.hpp"
 #include "core/strategy.hpp"
+#include "sim/pair_universe.hpp"
+#include "traffic/traffic.hpp"
 
 namespace nexit::core {
 namespace {
@@ -9,7 +15,8 @@ namespace {
 /// Hand-built strategy view over `n` flows x `c` candidates.
 struct ViewFixture {
   std::vector<char> remaining;
-  std::vector<std::vector<char>> banned;
+  std::vector<char> banned;  // n x c, row-major
+  std::size_t candidates = 0;
   std::vector<std::size_t> default_ci;
   PreferenceList mine, theirs;
   std::vector<std::vector<double>> my_true;
@@ -18,10 +25,11 @@ struct ViewFixture {
               const std::vector<std::vector<PrefClass>>& their_rows,
               std::size_t default_candidate = 0) {
     const std::size_t n = my_rows.size();
+    candidates = n == 0 ? 0 : my_rows[0].size();
     remaining.assign(n, 1);
+    banned.assign(n * candidates, 0);
     default_ci.assign(n, default_candidate);
     for (std::size_t i = 0; i < n; ++i) {
-      banned.emplace_back(my_rows[i].size(), 0);
       mine.flows.push_back(
           {traffic::FlowId{static_cast<std::int32_t>(i)}, my_rows[i]});
       theirs.flows.push_back(
@@ -30,10 +38,13 @@ struct ViewFixture {
     }
   }
 
+  void ban(std::size_t pos, std::size_t ci) { banned[pos * candidates + ci] = 1; }
+
   [[nodiscard]] StrategyView view() const {
     StrategyView v;
     v.remaining = &remaining;
-    v.banned = &banned;
+    v.banned = banned.data();
+    v.banned_stride = candidates;
     v.default_ci = &default_ci;
     v.my_disclosed = &mine;
     v.remote_disclosed = &theirs;
@@ -85,7 +96,7 @@ TEST(SelectProposal, BestLocalMinImpactPolicy) {
 
 TEST(SelectProposal, BannedAlternativesSkipped) {
   ViewFixture fx({{5, 1}}, {{5, 1}}, 1);
-  fx.banned[0][0] = 1;  // the juicy candidate is vetoed
+  fx.ban(0, 0);  // the juicy candidate is vetoed
   ProposalChoice out{};
   ASSERT_TRUE(select_proposal(fx.view(), ProposalPolicy::kMaxCombinedGain,
                               nullptr, out));
@@ -166,11 +177,158 @@ TEST(ProjectFuture, AlternationAssignsItemsByParity) {
 TEST(ProjectFuture, BannedAndSettledFlowsExcluded) {
   ViewFixture fx({{0, 9}, {0, 9}}, {{0, 0}, {0, 0}});
   fx.remaining[0] = 0;
-  fx.banned[1][1] = 1;  // only flow 1's default remains
+  fx.ban(1, 1);  // only flow 1's default remains
   const Projection p = project_future(fx.view(), true);
   EXPECT_DOUBLE_EQ(p.peak, 0.0);
   EXPECT_DOUBLE_EQ(p.end, 0.0);
 }
+
+/// Oracle whose classes and true values are redrawn at random on every
+/// evaluate() and disclose(): arbitrary inputs for the strategy cache.
+/// Narrow classes and true values on a coarse grid make every kind of tie
+/// common (combined, secondary, default bias, pessimistic residual ties).
+class RandomOracle : public PreferenceOracle {
+ public:
+  explicit RandomOracle(std::uint64_t seed) : rng_(seed) {}
+
+  Evaluation evaluate(const OracleContext& ctx) override {
+    Evaluation e;
+    e.classes = random_list(*ctx.problem);
+    for (const auto& fp : e.classes.flows) {
+      std::vector<double> row;
+      for (PrefClass c : fp.pref_of_candidate)
+        row.push_back(0.5 * c + 0.25 * static_cast<double>(rng_.next_int(-1, 1)));
+      e.true_value.push_back(std::move(row));
+    }
+    return e;
+  }
+  PreferenceList disclose(const OracleContext& ctx, const PreferenceList&,
+                          const PreferenceList&) override {
+    return random_list(*ctx.problem);
+  }
+  PreferenceList random_list(const NegotiationProblem& problem) {
+    PreferenceList list;
+    for (std::size_t pos = 0; pos < problem.negotiable.size(); ++pos) {
+      FlowPreferences fp{problem.negotiable_flow(pos).id, {}};
+      for (std::size_t ci = 0; ci < problem.candidates.size(); ++ci)
+        fp.pref_of_candidate.push_back(
+            static_cast<PrefClass>(rng_.next_int(-2, 2)));
+      list.flows.push_back(std::move(fp));
+    }
+    return list;
+  }
+  [[nodiscard]] bool wants_reassignment() const override { return false; }
+
+ private:
+  util::Rng rng_;
+};
+
+bool same_projection(const Projection& a, const Projection& b) {
+  return std::bit_cast<std::uint64_t>(a.peak) ==
+             std::bit_cast<std::uint64_t>(b.peak) &&
+         std::bit_cast<std::uint64_t>(a.end) ==
+             std::bit_cast<std::uint64_t>(b.end);
+}
+
+class StrategyCacheProperty : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  void SetUp() override {
+    sim::UniverseConfig u;
+    u.isp_count = 12;
+    u.seed = GetParam();
+    u.max_pairs = 1;
+    auto pairs = sim::build_pair_universe(u, 3);
+    ASSERT_FALSE(pairs.empty());
+    pair_ = std::make_unique<topology::IspPair>(std::move(pairs.front()));
+    routing_ = std::make_unique<routing::PairRouting>(*pair_);
+    util::Rng rng(GetParam() * 17 + 3);
+    tm_ = std::make_unique<traffic::TrafficMatrix>(
+        traffic::TrafficMatrix::build_bidirectional(
+            *pair_, traffic::TrafficConfig{}, rng));
+    std::vector<std::size_t> candidates(pair_->interconnection_count());
+    for (std::size_t i = 0; i < candidates.size(); ++i) candidates[i] = i;
+    problem_ = make_distance_problem(*routing_, tm_->flows(), candidates);
+    // A prefix of the flows keeps each run short (the checks are quadratic).
+    if (problem_.negotiable.size() > 96) problem_.negotiable.resize(96);
+  }
+
+  /// Drives one side through random bans, accepts, refreshes, re-disclosures
+  /// and remote re-adverts; after every step the cached stop-check and veto
+  /// projections and the deterministic proposal must equal the full scans.
+  void drive(int side, ProposalPolicy policy) {
+    NegotiationConfig cfg;
+    cfg.proposal = policy;
+    cfg.incremental_evaluation = false;  // the oracle is not a function
+    cfg.verify_incremental_every = 1;    // the side audits itself too
+    RandomOracle oracle(GetParam() * 2 + static_cast<std::uint64_t>(side));
+    NegotiationSide s(problem_, oracle, side, cfg);
+    util::Rng rng(GetParam() + 1000 * static_cast<std::uint64_t>(side));
+    const std::size_t n = problem_.negotiable.size();
+    const std::size_t c = problem_.candidates.size();
+    s.refresh();
+    s.disclose(oracle.random_list(problem_));
+    s.set_remote_disclosed(oracle.random_list(problem_));
+
+    std::size_t steps = 0;
+    while (s.remaining_count() > 0) {
+      const StrategyView v = s.view();
+      ASSERT_TRUE(same_projection(s.projection(), project_future(v)))
+          << "step " << steps;
+      std::size_t open_pos = rng.next_below(n);
+      while (!s.open(open_pos)) open_pos = (open_pos + 1) % n;
+      std::vector<char> rest = *v.remaining;
+      rest[open_pos] = 0;
+      StrategyView without = v;
+      without.remaining = &rest;
+      ASSERT_TRUE(
+          same_projection(s.projection(open_pos), project_future(without)))
+          << "step " << steps;
+      ProposalChoice cached{}, full{};
+      const bool found = s.propose(nullptr, cached);
+      ASSERT_EQ(found, select_proposal(v, policy, nullptr, full));
+      if (found) {
+        ASSERT_EQ(cached.pos, full.pos) << "step " << steps;
+        ASSERT_EQ(cached.ci, full.ci) << "step " << steps;
+      }
+
+      const ProposalChoice p{open_pos, rng.next_below(c)};
+      // Mostly bans and accepts, so the cache runs several steps on its
+      // in-place updates between the rebuilds the other three force.
+      const std::uint64_t op = rng.next_below(16);
+      if (op < 9) {
+        if (!s.banned(p)) s.ban(p);
+      } else if (op < 13) {
+        s.apply_accept(found && rng.next_bool() ? cached : p);
+      } else if (op == 13) {
+        s.refresh();
+      } else if (op == 14) {
+        s.disclose(oracle.random_list(problem_));
+      } else {
+        s.set_remote_disclosed(oracle.random_list(problem_));
+      }
+      ++steps;
+    }
+    EXPECT_GT(steps, n);
+  }
+
+  std::unique_ptr<topology::IspPair> pair_;
+  std::unique_ptr<routing::PairRouting> routing_;
+  std::unique_ptr<traffic::TrafficMatrix> tm_;
+  NegotiationProblem problem_;
+};
+
+TEST_P(StrategyCacheProperty, CacheMatchesFullScanMaxCombinedGain) {
+  for (int side = 0; side < 2; ++side)
+    drive(side, ProposalPolicy::kMaxCombinedGain);
+}
+
+TEST_P(StrategyCacheProperty, CacheMatchesFullScanBestLocalMinImpact) {
+  for (int side = 0; side < 2; ++side)
+    drive(side, ProposalPolicy::kBestLocalMinImpact);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StrategyCacheProperty,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
 
 }  // namespace
 }  // namespace nexit::core

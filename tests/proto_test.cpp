@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "proto/crc32.hpp"
 #include "proto/frame.hpp"
 #include "proto/messages.hpp"
@@ -88,6 +90,31 @@ TEST(Crc32, KnownVectors) {
   const char* s = "123456789";
   EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(s), 9), 0xcbf43926u);
   EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+/// Bit-at-a-time CRC-32 straight from the polynomial: the reference the
+/// table-driven implementation must match.
+std::uint32_t crc32_reference(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t c = 0xffffffffu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k)
+      c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Every length 0..64 (the 8-byte body plus every tail), starting at every
+  // offset 0..7 of the buffer, so unaligned starts are covered.
+  util::Rng rng(77);
+  std::vector<std::uint8_t> buf(64 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_below(256));
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t len = 0; len <= 64; ++len)
+      EXPECT_EQ(crc32(buf.data() + offset, len),
+                crc32_reference(buf.data() + offset, len))
+          << "offset " << offset << " len " << len;
 }
 
 TEST(Frame, EncodeDecodeRoundTrip) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -152,6 +153,32 @@ TEST(Stats, PercentileLeavesInputUntouched) {
   EXPECT_DOUBLE_EQ(percentile(xs, 50), 3.0);
   EXPECT_DOUBLE_EQ(median(xs), 3.0);
   EXPECT_EQ(xs, original);
+}
+
+TEST(Stats, PercentileBySelectionMatchesSort) {
+  // The in-place overload selects its two order statistics instead of
+  // sorting; on every shape it must return the sort-based answer of the
+  // copying overload to the bit. Values come from a small pool so samples
+  // carry duplicates, and the sizes include ranks that land exactly on an
+  // index (p = 0, 50 on odd sizes, 37.5 on 9, 100).
+  Rng rng(2024);
+  const double pool[] = {0.5, 1.0, 1.0 / 3.0, 2.75, 7.0, 1e-9, 123.456};
+  for (std::size_t size = 1; size <= 64; ++size) {
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<double> xs;
+      for (std::size_t i = 0; i < size; ++i)
+        xs.push_back(trial % 2 == 0 ? pool[rng.next_below(7)]
+                                    : rng.next_double(0.0, 10.0));
+      for (double p : {0.0, 37.5, 50.0, 90.0, 100.0}) {
+        const double by_sort = percentile(xs, p);
+        std::vector<double> scratch = xs;
+        const double by_select = percentile(std::move(scratch), p);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(by_select),
+                  std::bit_cast<std::uint64_t>(by_sort))
+            << "size " << size << " p " << p;
+      }
+    }
+  }
 }
 
 TEST(Cdf, SizeStableAcrossAddAndSortCycles) {
