@@ -1,15 +1,11 @@
 #pragma once
 
-// Shared scaffolding for the non-scenario benches (runtime_throughput,
-// micro_incremental): flag parsing into universe/negotiation configs and
-// the universe summary line. The figure/ablation binaries no longer use
-// this — they are shims over sim/scenarios.hpp, and the JSON emitter plus
-// the FNV digest helpers that used to live here are promoted to
-// src/util/json_report.hpp and src/util/digest.hpp so the driver, the
-// benches, and the tests share one emitter/digest scheme.
+// Shared scaffolding for the benches no scenario preset covers
+// (snapshot_throughput, dist_throughput): flag parsing into
+// universe/negotiation configs and the universe knobs of the JSON record.
 //
 // Unknown flags are a hard error: after reading all its flags, each binary
-// calls reject_unknown_flags(), so a misspelled flag (--seeed=7) aborts with
+// calls util::reject_unknown(), so a misspelled flag (--seeed=7) aborts with
 // a message instead of silently running the default configuration. The same
 // call makes `--help` print the flags the binary reads and exit 0.
 
@@ -39,33 +35,6 @@ inline core::NegotiationConfig negotiation_from_flags(const util::Flags& flags) 
   cfg.acceptance = core::AcceptancePolicy::kProtective;
   cfg.preferences.range = static_cast<int>(flags.get_int("pref-range", 10));
   return cfg;
-}
-
-/// Bench-facing name for util::reject_unknown; see its doc comment.
-inline void reject_unknown_flags(const util::Flags& flags) {
-  util::reject_unknown(flags);
-}
-
-/// Bench-facing name for util::get_count; see its doc comment.
-inline std::size_t size_from_flags(const util::Flags& flags,
-                                   const std::string& name,
-                                   std::size_t fallback,
-                                   std::size_t max_value) {
-  return util::get_count(flags, name, fallback, max_value);
-}
-
-/// Worker-thread count for the experiment engines: `--threads=0` means
-/// auto-detect, `--threads=1` (the default) runs serially; any value yields
-/// bit-identical results. The 0 -> hardware mapping itself is owned by
-/// util::workers_for_threads; the [0, 1024] bound keeps a fat-fingered
-/// count from exhausting std::thread construction.
-inline std::size_t threads_from_flags(const util::Flags& flags) {
-  return util::get_count(flags, "threads", 1, 1024);
-}
-
-/// Bench-facing name for sim::universe_summary (one shared spelling).
-inline std::string universe_summary(const sim::UniverseConfig& u) {
-  return sim::universe_summary(u);
 }
 
 /// Records the universe knobs every sweep bench shares.

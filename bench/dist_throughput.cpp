@@ -81,12 +81,12 @@ std::string spec_text_of(const sim::ScenarioPreset& preset,
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
   util::JsonReport json(flags, "dist_throughput");
-  const std::size_t points = bench::size_from_flags(flags, "points", 4, 256);
+  const std::size_t points = util::get_count(flags, "points", 4, 256);
   const std::size_t sessions =
-      bench::size_from_flags(flags, "sessions", 200, 1u << 20);
-  const std::size_t workers_lo = bench::size_from_flags(flags, "workers-lo", 1, 64);
-  const std::size_t workers_hi = bench::size_from_flags(flags, "workers-hi", 4, 64);
-  bench::reject_unknown_flags(flags);
+      util::get_count(flags, "sessions", 200, 1u << 20);
+  const std::size_t workers_lo = util::get_count(flags, "workers-lo", 1, 64);
+  const std::size_t workers_hi = util::get_count(flags, "workers-hi", 4, 64);
+  util::reject_unknown(flags);
 
   const sim::ScenarioPreset* fig7 = sim::find_scenario("fig7");
   const sim::ScenarioPreset* custom = sim::find_scenario("custom");

@@ -14,11 +14,10 @@
 // first); `--spec=<file>` overlays a key=value spec file; remaining flags
 // override individual keys, and `sweep.<key>=` lines declare sweep axes.
 // Without --scenario the generic "custom" runner executes whatever the
-// spec describes (including experiment=runtime timelines). Output is
-// byte-identical to the legacy per-figure binary for every preset — both
-// dispatch into sim::run_scenario — and CI diffs them to keep the
-// migration guard live. `--help-spec[=<key>]` prints the key metadata the
-// parser itself enforces; `--help-spec=markdown` emits
+// spec describes (including experiment=runtime timelines).
+// tests/golden/scenarios.tsv pins the digest, stdout and record of every
+// preset and shipped spec (tools/golden.py). `--help-spec[=<key>]` prints
+// the key metadata the parser itself enforces; `--help-spec=markdown` emits
 // docs/SPEC_REFERENCE.md (CI regenerates it and fails on drift).
 
 #include <iostream>
@@ -32,7 +31,7 @@ int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
 
   // Bare --list-scenarios parses as "true" (the human table); "tsv" is the
-  // machine form the CI migration guard iterates. Anything else is a typo
+  // machine form tools/golden.py and the README catalog generator read. Anything else is a typo
   // and must error, not silently print prose into a script's pipe.
   const std::string list =
       flags.get_choice("list-scenarios", {"true", "table", "tsv"}, "");

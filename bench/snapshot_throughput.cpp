@@ -4,7 +4,7 @@
 //   ./build/snapshot_throughput --sessions=96 --threads=2
 //
 // Three measurements over the same scenario config:
-//   1. plain      — journaling off (the runtime_throughput baseline shape)
+//   1. plain      — journaling off (the `runtime` preset's shape)
 //   2. journaled  — journaling forced on, no crashes: the pure overhead of
 //                   checkpointing every attempt boundary and appending a
 //                   WAL record per pump/deadline/cancel
@@ -91,15 +91,15 @@ int main(int argc, char** argv) {
   runtime::ScenarioConfig cfg;
   cfg.universe = bench::universe_from_flags(flags);
   cfg.negotiation = bench::negotiation_from_flags(flags);
-  cfg.session_count = bench::size_from_flags(flags, "sessions", 96, 1u << 20);
+  cfg.session_count = util::get_count(flags, "sessions", 96, 1u << 20);
   cfg.traffic = runtime::ScenarioTraffic::kBidirectionalUniformRandom;
   cfg.start_stagger = 2;  // kills target per-session ticks; keep them apart
-  cfg.runtime.threads = bench::threads_from_flags(flags);
-  bench::reject_unknown_flags(flags);
+  cfg.runtime.threads = util::get_count(flags, "threads", 1, 1024);
+  util::reject_unknown(flags);
 
   sim::print_bench_header(
       "Snapshot", "journaling overhead and crash-resume restore throughput",
-      bench::universe_summary(cfg.universe));
+      sim::universe_summary(cfg.universe));
   std::cout << cfg.session_count << " sessions, threads "
             << cfg.runtime.threads << "\n";
 

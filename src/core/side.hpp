@@ -91,7 +91,7 @@ struct NegotiationConfig {
   /// the full evaluate() and throw std::logic_error unless both results are
   /// bit-identical. 0 = automatic (every refresh in debug builds, never in
   /// release); N >= 1 forces the check in all build types; -1 disables it
-  /// even in debug builds (for honest A/B timing, e.g. micro_incremental).
+  /// even in debug builds (for honest A/B timing, e.g. the fig7 preset).
   int verify_incremental_every = 0;
   std::uint64_t seed = 1;
   bool record_trace = false;

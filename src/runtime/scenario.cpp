@@ -282,10 +282,10 @@ void Scenario::on_link_failure(Tick now, std::uint32_t target,
   const PairWorld* base = parent.base;
   const routing::PairRouting& routing = *base->routing;
 
-  // The §5.2 recipe, exactly as examples/failure_negotiation.cpp: pre-failure
-  // early-exit routing over all interconnections, capacities proportional to
-  // the pre-failure loads, then the affected flows renegotiate over the
-  // survivors with bandwidth oracles.
+  // The §5.2 recipe (tests/runtime_test.cpp re-runs it on the engine):
+  // pre-failure early-exit routing over all interconnections, capacities
+  // proportional to the pre-failure loads, then the affected flows
+  // renegotiate over the survivors with bandwidth oracles.
   // Same flows as the parent session, copied so the new problem has its own
   // pinned storage.
   auto world = std::make_unique<SessionWorld>(base, parent.traffic);

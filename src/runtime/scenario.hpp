@@ -22,11 +22,11 @@ enum class EventKind : std::uint8_t {
   /// The pair's traffic changes: cancel whatever `session` is doing, build a
   /// fresh traffic matrix seeded by `param`, and renegotiate from scratch.
   kFlowChurn,
-  /// Interconnection failure mid-session (the paper's §5.2 scenario,
-  /// generalizing examples/failure_negotiation.cpp): cancel `session`,
-  /// re-route its flows by early-exit over the survivors, and spawn a
-  /// renegotiation of the affected flows with bandwidth oracles. `param` is
-  /// the interconnection index to fail, or kBusiestIx for the loaded one.
+  /// Interconnection failure mid-session (the paper's §5.2 scenario):
+  /// cancel `session`, re-route its flows by early-exit over the survivors,
+  /// and spawn a renegotiation of the affected flows with bandwidth oracles.
+  /// `param` is the interconnection index to fail, or kBusiestIx for the
+  /// loaded one.
   kLinkFailure,
   /// One peer crashes and comes back: the live attempt restarts with fresh
   /// channels (a planned restart does not consume a retry).
@@ -219,8 +219,8 @@ ScenarioReport run_scenario(ScenarioConfig config);
 /// FNV-1a over every session's terminal state, message count, and (for
 /// completed sessions) rounds and final assignment: any scheduling-
 /// dependent divergence shows up as a different digest. Shared by the
-/// runtime_throughput bench, the spec-driven runtime scenarios, and the
-/// determinism tests, so "bit-identical across --threads" has one spelling.
+/// spec-driven runtime scenarios, the benches, and the determinism tests,
+/// so "bit-identical across --threads" has one spelling.
 std::uint64_t outcome_digest(const ScenarioReport& report);
 
 }  // namespace nexit::runtime

@@ -1638,8 +1638,7 @@ void tune_fig9(ExperimentSpec& s) {
 }
 
 void tune_table3(ExperimentSpec& s) {
-  // Seed 0 means "auto-pick a seed that reaches the paper outcome", the
-  // legacy binary's default.
+  // Seed 0 means "auto-pick a seed that reaches the paper outcome".
   s.seed = 0;
 }
 
@@ -1689,10 +1688,10 @@ void tune_fig7_sweep(ExperimentSpec& s) {
 void tune_runtime(ExperimentSpec& s) { s.experiment = ExperimentKind::kRuntime; }
 
 void tune_runtime_churn(ExperimentSpec& s) {
-  // The many_sessions example's population and timeline, as a preset: a
-  // small universe negotiating concurrently with staggered starts, a
+  // A small universe negotiating concurrently with staggered starts, a
   // mid-session link failure, a peer restart, a traffic churn, and one
-  // session stuck behind a black-hole transport.
+  // session stuck behind a black-hole transport; scenarios/runtime_churn.spec
+  // declares the same values as data.
   s.experiment = ExperimentKind::kRuntime;
   s.isps = 30;
   s.seed = 11;
@@ -1804,12 +1803,11 @@ std::vector<std::string> scenario_names() {
 void print_scenario_list(std::ostream& os) {
   os << "registered scenarios (run with nexit_run --scenario=<name>):\n\n";
   char line[256];
-  std::snprintf(line, sizeof line, "  %-24s %-26s %s\n", "name",
-                "legacy binary", "description");
+  std::snprintf(line, sizeof line, "  %-24s %s\n", "name", "description");
   os << line;
   for (const ScenarioPreset& preset : kScenarios) {
-    std::snprintf(line, sizeof line, "  %-24s %-26s %s\n", preset.name,
-                  preset.legacy_binary, preset.description);
+    std::snprintf(line, sizeof line, "  %-24s %s\n", preset.name,
+                  preset.description);
     os << line;
   }
   os << "\nevery scenario also takes the spec keys (see --help), "
@@ -1818,7 +1816,7 @@ void print_scenario_list(std::ostream& os) {
 
 void print_scenario_tsv(std::ostream& os) {
   for (const ScenarioPreset& preset : kScenarios)
-    os << preset.name << "\t" << preset.legacy_binary << "\t"
+    os << preset.name << "\t" << preset.record_name << "\t"
        << preset.description << "\n";
 }
 
@@ -2034,11 +2032,9 @@ int run_scenario(const ScenarioPreset& preset, const util::Flags& flags) {
     spec.overridden.insert("obs.trace");
   }
 
-  // The record carries the legacy binary's name so BENCH_*.json
-  // trajectories stay comparable across the redesign ("custom" has none).
   util::JsonReport record(
-      flags, std::string(preset.legacy_binary) == "-" ? preset.name
-                                                      : preset.legacy_binary);
+      flags, std::string(preset.record_name) == "-" ? preset.name
+                                                    : preset.record_name);
   const std::string spec_out = flags.get_string("spec-out", "");
   util::reject_unknown(flags);
 
@@ -2048,9 +2044,9 @@ int run_scenario(const ScenarioPreset& preset, const util::Flags& flags) {
     return 2;
   }
   // Keys this preset's run function controls itself: an explicit override
-  // away from the preset's own value would silently vanish — the legacy
-  // binaries exited 2 for these flags, and so do we. (Re-stating the
-  // preset's value is harmless, so serialized specs reload cleanly.)
+  // away from the preset's own value would silently vanish, so it exits 2.
+  // (Re-stating the preset's value is harmless, so serialized specs reload
+  // cleanly.)
   const std::vector<std::string> ignored = expand_ignored_keys(preset, tuned);
   for (const std::string& key : ignored) {
     if (spec.overridden.count(key) > 0 &&
@@ -2256,26 +2252,6 @@ int run_scenario(const ScenarioPreset& preset, const util::Flags& flags) {
   record.metric("digest", util::digest_hex(sweep_digest));
   record.write();
   return 0;
-}
-
-int scenario_shim_main(const char* name, int argc, char** argv) {
-  const util::Flags flags(argc, argv);
-  const ScenarioPreset* preset = find_scenario(name);
-  if (preset == nullptr) {
-    std::cerr << "internal error: scenario '" << name << "' not registered\n";
-    return 2;
-  }
-  if (flags.help_requested()) {
-    // The flag list itself is printed by util::reject_unknown once the
-    // pipeline has queried every key; this preamble is the shim-specific
-    // part of the contract.
-    std::cout << "note: this binary is a frozen legacy wrapper; the "
-                 "maintained driver is\n  nexit_run --scenario="
-              << name
-              << " [flags]\n(byte-identical output; sweep axes, --spec-out "
-                 "and --help-spec live on the driver)\n";
-  }
-  return run_scenario(*preset, flags);
 }
 
 runtime::ScenarioConfig runtime_config_of(const ExperimentSpec& spec) {

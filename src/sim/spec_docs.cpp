@@ -64,7 +64,7 @@ constexpr const char* kSweepSyntax =
     "outcome digest folds the per-point digests in expansion order — "
     "bit-identical for every --threads value. Axes a preset owns (the "
     "paper's own ablation sweeps) are iterated inside its run function "
-    "instead, keeping the legacy single-table output byte-identical.";
+    "instead, so each such ablation prints one table.";
 
 void print_one_key(std::ostream& os, const SpecKeyInfo& info) {
   os << "  " << pad(info.sweep_only ? "sweep." + info.key : info.key, 27)
@@ -167,8 +167,8 @@ void print_spec_reference_markdown(std::ostream& os) {
         "with bandwidth oracles (the paper's §5.2 recipe); `churn` events\n"
         "replace the traffic matrix and renegotiate; `restart` events give\n"
         "one peer fresh channels without consuming a retry. Outcomes are\n"
-        "bit-identical for every `threads` value; the run prints the same\n"
-        "outcome digest runtime_throughput uses.\n";
+        "bit-identical for every `threads` value, and so is the printed\n"
+        "outcome digest.\n";
 }
 
 }  // namespace nexit::sim

@@ -1,11 +1,11 @@
 #pragma once
 
 // FNV-1a scaffolding for the determinism digests printed across the repo
-// (the scenario driver, runtime_throughput, micro_incremental, and the test
-// suites): one place for the constants so the digest scheme cannot drift
-// between binaries. A digest equal across --threads values (or across
-// --incremental on/off, or between a preset run and its legacy binary)
-// demonstrates two runs are bit-identical from the shell.
+// (the scenario driver, the benches, and the test suites): one place for
+// the constants so the digest scheme cannot drift between binaries. A
+// digest equal across --threads values (or across --incremental on/off)
+// demonstrates two runs are bit-identical from the shell; the golden table
+// (tests/golden/scenarios.tsv) pins each preset's digest to a value.
 
 #include <cstdint>
 #include <cstring>

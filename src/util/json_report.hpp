@@ -1,8 +1,8 @@
 #pragma once
 
-// Machine-readable run records, shared by the scenario driver, the legacy
-// bench shims, the runtime/micro benches, and the tests (promoted here from
-// bench/bench_common.hpp so there is exactly one JSON emitter).
+// Machine-readable run records, shared by the scenario driver, the benches,
+// and the tests (promoted here from bench/bench_common.hpp so there is
+// exactly one JSON emitter).
 
 #include <cstdint>
 #include <string>

@@ -376,16 +376,15 @@ TEST(Scenario, FlowChurnSpawnsRenegotiation) {
 TEST(Scenario, LinkFailureReproducesFailureNegotiationExample) {
   // The acceptance scenario: a link fails mid-session, the affected flows
   // renegotiate over the survivors with bandwidth oracles — and the result
-  // must equal the in-process engine run of examples/failure_negotiation.cpp
-  // on the identical problem (the example's world-building recipe is the
-  // scenario's own: early-exit pre-failure routing, capacities from
-  // pre-failure loads, busiest interconnection failed).
+  // must equal an in-process engine run on the identical problem, built
+  // below by the scenario's own recipe: early-exit pre-failure routing,
+  // capacities from pre-failure loads, busiest interconnection failed.
   ScenarioConfig cfg;
   cfg.universe.isp_count = 30;
-  cfg.universe.seed = 11;  // the example's default --seed
+  cfg.universe.seed = 11;
   cfg.universe.max_pairs = 1;
   cfg.min_links = 3;
-  cfg.traffic = ScenarioTraffic::kGravityAtoB;  // the example's workload
+  cfg.traffic = ScenarioTraffic::kGravityAtoB;
   cfg.negotiation.reassign_traffic_fraction = 0.05;
   cfg.limits.max_steps_per_pump = 2;  // yield every two pump steps...
   cfg.events.push_back(
@@ -401,7 +400,7 @@ TEST(Scenario, LinkFailureReproducesFailureNegotiationExample) {
   ASSERT_EQ(reneg.kind, SessionKind::kFailureRenegotiation);
   ASSERT_EQ(reneg.status, SessionStatus::kDone) << reneg.error;
 
-  // Reference: the example's computation — NegotiationEngine on the same
+  // Reference: NegotiationEngine in-process on the same
   // failure problem with bandwidth oracles and deterministic tie-breaks.
   const SessionWorld& world = scenario.world_of(1);
   core::NegotiationConfig ncfg;

@@ -291,12 +291,12 @@ TEST(SweepDeathTest, MalformedTimelineExitsNamingTheKey) {
 }
 
 TEST(RuntimeSpec, SpecTimelineReproducesTheFailureNegotiationExample) {
-  // The acceptance scenario: the failure_negotiation example's recipe
-  // (universe seed 11, 30 ISPs, a >=3-link pair, gravity A->B traffic, the
-  // busiest interconnection failing mid-session) declared purely as spec
-  // data — the same composition shipped in scenarios/runtime_failure.spec —
-  // must reproduce the engine outcome of the in-process example run, and
-  // bit-identically for every thread count.
+  // The acceptance scenario: the §5.2 failure recipe (universe seed 11, 30
+  // ISPs, a >=3-link pair, gravity A->B traffic, the busiest
+  // interconnection failing mid-session) declared purely as spec data — the
+  // same composition shipped in scenarios/runtime_failure.spec — must
+  // reproduce the outcome of an in-process engine run on the same problem,
+  // and bit-identically for every thread count.
   const char* const kSpecLines[] = {
       "experiment=runtime", "isps=30",           "seed=11",
       "pairs=1",            "traffic=gravity",   "runtime.min-links=3",
@@ -315,7 +315,7 @@ TEST(RuntimeSpec, SpecTimelineReproducesTheFailureNegotiationExample) {
   ASSERT_EQ(reneg.kind, runtime::SessionKind::kFailureRenegotiation);
   ASSERT_EQ(reneg.status, runtime::SessionStatus::kDone) << reneg.error;
 
-  // Reference: the example's computation — NegotiationEngine on the same
+  // Reference: NegotiationEngine in-process on the same
   // failure problem with bandwidth oracles and deterministic tie-breaks.
   const runtime::SessionWorld& world = scenario.world_of(1);
   core::NegotiationConfig ncfg;
