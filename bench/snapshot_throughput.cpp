@@ -4,7 +4,7 @@
 //   ./build/snapshot_throughput --sessions=96 --threads=2
 //
 // Three measurements over the same scenario config:
-//   1. plain      — journaling off (the `runtime` preset's shape)
+//   1. plain      — journaling off: the baseline
 //   2. journaled  — journaling forced on, no crashes: the pure overhead of
 //                   checkpointing every attempt boundary and appending a
 //                   WAL record per pump/deadline/cancel

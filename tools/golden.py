@@ -15,6 +15,8 @@ row's flags, and pins three values of that run:
               `json record written to` line (the only run-dependent text)
   record      sha256 of the --json record without its `wall_ms` entries
 
+(both hashes as their first 16 hex digits).
+
 The digest alone is not enough: several presets fold only part of what they
 print into it, so equal digests can hide different figures. `check` also
 fails when a preset or spec has no row, or a row names neither. `regen`
@@ -131,6 +133,8 @@ def check(build, table=TABLE, names=()):
                       f"{'preset' if key[0] == 'preset' else 'scenarios/*.spec'}")
     if len(have) != len(rows):
         errors.append(f"{table}: duplicate rows")
+    for name in sorted(set(names) - {r["name"] for r in rows}):
+        errors.append(f"{name}: no row of that name")
     for row in rows:
         if names and row["name"] not in names:
             continue
@@ -139,7 +143,7 @@ def check(build, table=TABLE, names=()):
         label = f"{row['kind']} {row['name']} {row['flags']}"
         try:
             got = run_row(build, row)
-        except (RuntimeError, ValueError) as e:
+        except (OSError, RuntimeError, ValueError) as e:
             errors.append(f"{label}: {e}")
             continue
         for column in ("digest", "stdout", "record"):
